@@ -790,7 +790,10 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8321)
-    parser.add_argument("--workers", type=int, default=4, help="broker worker count")
+    parser.add_argument(
+        "--workers", type=int, default=4,
+        help="worker processes running jobs in parallel, forked at start (default 4)",
+    )
     parser.add_argument(
         "--no-tracing", action="store_true",
         help="disable span tracing (on by default; ~µs per job)",

@@ -9,8 +9,9 @@ machinery around it, so one submitted job becomes one :class:`Trace`:
 * a ``queue.wait`` child (enqueue → worker dequeue),
 * one ``attempt`` child per execution attempt (failed attempts carry
   ``status="error"``),
-* an ``engine`` child inside each attempt, measured on the executor
-  thread around the actual :meth:`~repro.service.pool.LabPool.run`, and
+* an ``engine`` child inside each attempt, stamped by the worker
+  process around the actual :meth:`~repro.service.pool.LabPool.run`
+  and tagged with that worker's ``pid``, and
 * for dynamic (``--edits``) jobs with event capture on, one ``epoch``
   child per replay epoch under the engine span
   (:class:`EpochWallSink` stamps the wall clock at each
@@ -21,12 +22,15 @@ Design constraints that shaped this:
 * **Event reprs are digest-pinned.**  The obs event dataclasses cannot
   grow a ``trace_id`` field without changing their byte-stable reprs
   (and thereby every golden digest).  Correlation therefore lives one
-  level up: the broker tags the per-job :class:`~repro.obs.Collector`
-  with the trace id, and the Chrome export stamps it into ``otherData``
+  level up: the worker tags the per-job :class:`~repro.obs.Collector`
+  with the trace id the broker sends, and the Chrome export stamps it
+  into ``otherData``
   — the *stream* stays bit-identical.
-* **Spans close on executor threads.**  The engine span is measured on
-  the worker thread that ran the simulation, while the root closes on
-  the event loop; :class:`Trace` serialises appends behind a lock.
+* **One clock across processes.**  The engine span is measured in the
+  worker process that ran the simulation, while every span is recorded
+  on the broker's event loop; ``perf_counter_ns`` reads CLOCK_MONOTONIC,
+  which all processes on the host share, so worker stamps nest inside
+  broker spans without any offset.
 * **Bounded memory.**  :class:`Tracer` keeps the last ``capacity``
   finished traces (FIFO eviction), mirroring the bounded-memory
   contract everywhere else in the telemetry stack.
@@ -114,11 +118,7 @@ class Span:
 
 
 class Trace:
-    """One job's spans plus (optionally) its captured engine events.
-
-    Appends are lock-serialised: the engine span lands from an executor
-    thread while the root span closes on the event loop.
-    """
+    """One job's spans plus (optionally) its captured engine events."""
 
     def __init__(self, trace_id: str, *, job: str, key: str, tenant: str) -> None:
         self.trace_id = trace_id
@@ -128,7 +128,6 @@ class Trace:
         self.outcome = "open"
         self.spans: list[Span] = []
         self.engine_doc: dict | None = None  # Chrome doc of the captured run
-        self._lock = threading.Lock()
         self.root = self.start_span("job", parent_id=None)
 
     # ------------------------------------------------------------------
@@ -144,8 +143,7 @@ class Trace:
             name=name,
             start_ns=now_ns() if start_ns is None else start_ns,
         )
-        with self._lock:
-            self.spans.append(span)
+        self.spans.append(span)
         return span
 
     def end_span(self, span: Span, *, status: str = "ok", **attrs) -> Span:
@@ -176,23 +174,20 @@ class Trace:
     # ------------------------------------------------------------------
     def find_span(self, name: str) -> Span | None:
         """First span with this name, or None."""
-        with self._lock:
-            for span in self.spans:
-                if span.name == name:
-                    return span
+        for span in self.spans:
+            if span.name == name:
+                return span
         return None
 
     def spans_named(self, name: str) -> list[Span]:
-        with self._lock:
-            return [s for s in self.spans if s.name == name]
+        return [s for s in self.spans if s.name == name]
 
     @property
     def wall_ms(self) -> float:
         return self.root.duration_ns / 1e6
 
     def to_dict(self) -> dict:
-        with self._lock:
-            spans = [s.to_dict() for s in self.spans]
+        spans = [s.to_dict() for s in self.spans]
         doc = {
             "schema": TRACE_SCHEMA,
             "trace_id": self.trace_id,

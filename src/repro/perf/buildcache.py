@@ -23,19 +23,40 @@ later epoch would silently read epoch-0 topology.  :func:`edit_key`
 folds the edit epoch and an edit-history digest into the key, making the
 aliasing impossible by construction (regression-tested in
 ``tests/test_dynamic.py``).
+
+Base graphs are few and reused forever, so they are never evicted.
+Edited snapshots are not: every fresh edit script makes new ones, and a
+long-running service sees a fresh script per dynamic job.  They are
+held in a separate LRU of :data:`EDITED_SNAPSHOT_LIMIT` entries, enough
+for every epoch of one replay to be built once and shared by the
+replay's own re-reads.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
 from typing import Callable, Hashable
 
 from repro.graph.csr import Csr
 
-__all__ = ["cached_graph", "cache_info", "cache_clear", "edit_key", "CacheInfo"]
+__all__ = [
+    "EDITED_SNAPSHOT_LIMIT",
+    "cached_graph",
+    "cache_info",
+    "cache_clear",
+    "edit_key",
+    "CacheInfo",
+]
+
+#: edited snapshots retained (least recently used evicted first)
+EDITED_SNAPSHOT_LIMIT = 32
+#: the tag :func:`edit_key` puts third from the end of every key it makes
+_EDIT_TAG = "epoch"
 
 _CACHE: dict[Hashable, Csr] = {}
+_EDITED: OrderedDict[Hashable, Csr] = OrderedDict()
 _LOCK = Lock()
 _HITS = 0
 _MISSES = 0
@@ -47,7 +68,7 @@ class CacheInfo:
 
     hits: int
     misses: int
-    size: int
+    size: int  # base graphs plus edited snapshots
 
 
 def cached_graph(key: Hashable, builder: Callable[[], Csr]) -> Csr:
@@ -56,13 +77,18 @@ def cached_graph(key: Hashable, builder: Callable[[], Csr]) -> Csr:
     The returned instance is shared: callers get the same read-only
     ``Csr`` object, not a copy (copy-on-return would forfeit most of the
     win — graph builds dominate Lab startup).  Immutability is enforced
-    by ``Csr`` itself.
+    by ``Csr`` itself.  Keys made by :func:`edit_key` go to the bounded
+    edited-snapshot LRU; every other key is kept for the process's life.
     """
     global _HITS, _MISSES
+    edited = _is_edit_key(key)
+    store = _EDITED if edited else _CACHE
     with _LOCK:
-        g = _CACHE.get(key)
+        g = store.get(key)
         if g is not None:
             _HITS += 1
+            if edited:
+                _EDITED.move_to_end(key)
             return g
     built = builder()
     if not isinstance(built, Csr):
@@ -70,13 +96,19 @@ def cached_graph(key: Hashable, builder: Callable[[], Csr]) -> Csr:
     with _LOCK:
         # a racing builder may have stored first; keep the stored instance
         # so every caller shares one object
-        g = _CACHE.get(key)
+        g = store.get(key)
         if g is not None:
             _HITS += 1
             return g
         _MISSES += 1
-        _CACHE[key] = built
+        store[key] = built
+        if edited and len(_EDITED) > EDITED_SNAPSHOT_LIMIT:
+            _EDITED.popitem(last=False)
     return built
+
+
+def _is_edit_key(key: Hashable) -> bool:
+    return isinstance(key, tuple) and len(key) >= 3 and key[-3] == _EDIT_TAG
 
 
 def edit_key(base_key: tuple, epoch: int, digest: str) -> tuple:
@@ -90,13 +122,13 @@ def edit_key(base_key: tuple, epoch: int, digest: str) -> tuple:
     """
     if epoch <= 0:
         raise ValueError(f"edit_key is for mutated snapshots; got epoch={epoch}")
-    return (*base_key, "epoch", int(epoch), str(digest))
+    return (*base_key, _EDIT_TAG, int(epoch), str(digest))
 
 
 def cache_info() -> CacheInfo:
     """Hits, misses and current entry count."""
     with _LOCK:
-        return CacheInfo(hits=_HITS, misses=_MISSES, size=len(_CACHE))
+        return CacheInfo(hits=_HITS, misses=_MISSES, size=len(_CACHE) + len(_EDITED))
 
 
 def cache_clear() -> None:
@@ -104,5 +136,6 @@ def cache_clear() -> None:
     global _HITS, _MISSES
     with _LOCK:
         _CACHE.clear()
+        _EDITED.clear()
         _HITS = 0
         _MISSES = 0

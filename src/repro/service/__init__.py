@@ -10,8 +10,10 @@ long-running multi-tenant facility:
   :class:`~repro.service.cache.ResultCache`;
 * :mod:`repro.service.broker` — the asyncio
   :class:`~repro.service.broker.Broker`: fair round-robin tenant queues
-  with backpressure, warm-Lab worker pool, single-flight coalescing,
-  timeouts/retries, graceful drain;
+  with backpressure, single-flight coalescing, timeouts/retries,
+  graceful drain;
+* :mod:`repro.service.pool` — the forked worker processes that run
+  each attempt, with their warm Labs;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the JSON
   HTTP boundary (``repro serve`` / ``repro submit``);
 * :mod:`repro.service.faults` — seeded

@@ -4,38 +4,54 @@
 submit(spec, tenant=...)``; the broker either answers from the
 content-addressed :class:`~repro.service.cache.ResultCache` (warm path,
 microseconds), coalesces onto an identical in-flight job (single
-flight), or queues the job on its tenant's bounded deque.  A fixed pool
+flight), or queues the job on its tenant's bounded deque.  A fixed set
 of asyncio workers drains the tenant queues **round-robin** — a tenant
-submitting 1000 jobs cannot starve one submitting 2 — and executes each
-job on a thread-pool of warm Labs (:class:`~repro.service.pool.LabPool`).
+submitting 1000 jobs cannot starve one submitting 2 — and runs each
+execution attempt on one of ``BrokerConfig.workers`` forked worker
+processes, each holding its own warm Labs
+(:mod:`repro.service.pool`).  Only the spec goes out and the
+:class:`~repro.service.pool.AttemptOutcome` comes back; keying, the
+cache, coalescing, fault injection and retries stay in this process.
+
+The worker processes are forked once, in :meth:`Broker.start`, before
+the event loop has started any thread (``fork`` copies only the calling
+thread, so forking later could copy a lock some other thread holds).
+Forking rather than spawning lets every worker inherit the imported
+modules and the warm build cache instead of rebuilding them.  The
+broker forks again only to replace a pool whose worker died; those
+children likewise run nothing but
+:func:`~repro.service.pool.run_attempt`.
 
 Robustness contract (exercised by ``tests/test_service_faults.py``):
 
 * a full tenant queue rejects synchronously with :class:`QueueFull`
   (HTTP 429) instead of buffering unboundedly;
-* each execution attempt runs under a per-job timeout; a worker crash
-  (:class:`~repro.service.faults.WorkerKilled`) or timeout triggers a
-  bounded retry with linear backoff — determinism guarantees the retry
-  computes the *same* result, so a retried job is digest-identical to
-  an undisturbed one;
+* each execution attempt runs under a per-job timeout; an injected
+  crash (:class:`~repro.service.faults.WorkerKilled`), a worker process
+  that really died (``BrokenProcessPool``: the pool is rebuilt once) or
+  a timeout triggers a bounded retry with linear backoff — determinism
+  guarantees the retry computes the *same* result, so a retried job is
+  digest-identical to an undisturbed one;
 * :meth:`drain` stops intake, finishes every accepted job, and only
-  then shuts the workers down — accepted work is never dropped.
+  then shuts the worker processes down — accepted work is never
+  dropped.  Workers also die with the broker if it is killed outright
+  (see :func:`~repro.service.pool.init_worker`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.dash.timeseries import ServiceSeries
-from repro.dash.trace import EpochWallSink, Trace, Tracer
+from repro.dash.trace import Trace, Tracer
 from repro.metrics.hist import LogHistogram
-from repro.obs.collector import Collector
-from repro.obs.events import MultiSink
-from repro.obs.export import to_chrome_trace
 from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
 from repro.service.faults import FaultInjector, WorkerKilled
 from repro.service.jobs import (
@@ -46,7 +62,7 @@ from repro.service.jobs import (
     spec_from_dict,
     validate_spec,
 )
-from repro.service.pool import LabPool
+from repro.service.pool import init_worker, run_attempt
 
 __all__ = [
     "Broker",
@@ -74,6 +90,7 @@ class JobFailed(RuntimeError):
 class BrokerConfig:
     """Operating knobs; defaults suit tests and the in-process benchmark."""
 
+    #: worker processes; each runs one engine attempt at a time
     workers: int = 4
     #: per-tenant queue bound; the backpressure knob (QueueFull past it)
     tenant_queue_limit: int = 64
@@ -132,6 +149,11 @@ class ServiceStats:
     #: {tenant: {submitted, completed, rejected, queue_depth}} — the
     #: per-tenant fairness/backpressure view (additive to stats-v1)
     per_tenant: dict = field(default_factory=dict)
+    #: times the worker pool was rebuilt because a worker process died
+    worker_restarts: int = 0
+    #: [{pid, vm_hwm_kib}] per live worker process; the engine's memory
+    #: lives there, not in the broker process
+    worker_procs: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -147,6 +169,8 @@ class ServiceStats:
             "peak_queue_depth": self.peak_queue_depth,
             "tenants": self.tenants,
             "workers": self.workers,
+            "worker_restarts": self.worker_restarts,
+            "worker_procs": self.worker_procs,
             "draining": self.draining,
             "cache": {
                 "hits": self.cache.hits,
@@ -183,12 +207,11 @@ class _Job:
 
 
 class Broker:
-    """Asyncio job broker over a warm-Lab thread pool.  See module docs."""
+    """Asyncio job broker over forked warm-Lab worker processes.  See module docs."""
 
     def __init__(self, config: BrokerConfig | None = None) -> None:
         self.config = config or BrokerConfig()
         self.cache = ResultCache(self.config.cache_bytes)
-        self.pool = LabPool()
         self.faults = self.config.faults
         self._queues: dict[str, deque[_Job]] = {}
         self._rr: list[str] = []  # tenant scan order (insertion-stable)
@@ -196,7 +219,7 @@ class Broker:
         self._inflight: dict[str, asyncio.Future] = {}
         self._inflight_jobs: dict[str, _Job] = {}
         self._cond: asyncio.Condition | None = None
-        self._executor: ThreadPoolExecutor | None = None
+        self._procs: ProcessPoolExecutor | None = None
         self._workers: list[asyncio.Task] = []
         self._draining = False
         self._started = False
@@ -208,6 +231,7 @@ class Broker:
         self._coalesced = 0
         self._retries = 0
         self._timeouts = 0
+        self._worker_restarts = 0
         self._peak_depth = 0
         self._busy = 0
         #: per-tenant counters for the {tenant="..."} telemetry labels
@@ -231,13 +255,11 @@ class Broker:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spin up the worker tasks (idempotent)."""
+        """Fork the worker processes and spin up the worker tasks (idempotent)."""
         if self._started:
             return
         self._cond = asyncio.Condition()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="repro-svc"
-        )
+        self._procs = self._fork_workers()
         self._workers = [
             asyncio.ensure_future(self._worker_loop(i))
             for i in range(self.config.workers)
@@ -253,9 +275,40 @@ class Broker:
         async with self._cond:
             self._cond.notify_all()
         await asyncio.gather(*self._workers, return_exceptions=True)
-        assert self._executor is not None
-        self._executor.shutdown(wait=True)
+        assert self._procs is not None
+        self._procs.shutdown(wait=True)
         self._started = False
+
+    def _fork_workers(self) -> ProcessPoolExecutor:
+        """A pool of ``config.workers`` processes, all forked before returning.
+
+        A fork-context pool forks every worker on its first submit; the
+        no-op submitted here makes that happen now, and its answer shows
+        a worker finished :func:`~repro.service.pool.init_worker`.
+        """
+        procs = ProcessPoolExecutor(
+            max_workers=self.config.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=init_worker,
+            initargs=(os.getpid(),),
+        )
+        procs.submit(os.getpid).result()
+        return procs
+
+    def _replace_broken(self, broken: ProcessPoolExecutor) -> None:
+        """Swap in a fresh pool for ``broken``, once however many attempts saw it."""
+        if self._procs is not broken:
+            return  # a sibling attempt already replaced it
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._procs = self._fork_workers()
+        self._worker_restarts += 1
+
+    def worker_pids(self) -> list[int]:
+        """Pids of the live worker processes (empty before start)."""
+        if self._procs is None:
+            return []
+        # ProcessPoolExecutor has no public accessor for its processes
+        return sorted(self._procs._processes or ())
 
     async def __aenter__(self) -> "Broker":
         await self.start()
@@ -436,45 +489,46 @@ class Broker:
                 return
             await self._execute(job, index)
 
-    def _attempt(self, spec: JobSpec, trace: Trace | None = None, attempt_span=None):
-        """One execution attempt, run on an executor thread.
+    async def _attempt(self, spec: JobSpec, trace: Trace | None = None, attempt_span=None):
+        """One execution attempt: the engine run happens in a worker process.
 
-        When tracing, the engine span is measured *here* — tight around
-        the actual Lab execution, on the thread that ran it — and lands
-        in the trace through its append lock.  With event capture on,
-        the run also gets a per-job :class:`Collector` (tagged with the
-        trace id) plus an :class:`EpochWallSink` whose epoch marks become
-        child spans of the engine span for dynamic jobs.
+        The fault draws stay here, in their per-attempt order: the kill
+        before dispatch, the completion delay after the outcome returns
+        (an ``asyncio.sleep`` inside the caller's ``wait_for``, so a
+        straggler still trips the per-job timeout).  When tracing, the
+        engine span is stamped by the worker, tight around the Lab run,
+        and carries the worker's ``pid``; with event capture on, the
+        worker's Chrome doc and epoch spans are filed under it.
         """
         self.faults.maybe_kill()
-        sink = collector = epoch_sink = None
-        if trace is not None and self.config.trace_events:
-            collector = Collector(trace_id=trace.trace_id)
-            epoch_sink = EpochWallSink()
-            sink = MultiSink(collector, epoch_sink)
-        e0 = time.perf_counter_ns()
-        result = self.pool.run(spec, sink=sink)
-        e1 = time.perf_counter_ns()
+        capture = trace is not None and self.config.trace_events
+        procs = self._procs
+        try:
+            outcome = await asyncio.get_running_loop().run_in_executor(
+                procs, run_attempt, spec, trace.trace_id if capture else None
+            )
+        except BrokenProcessPool:
+            self._replace_broken(procs)
+            raise
         if trace is not None:
             parent_id = attempt_span.span_id if attempt_span is not None else "root"
             attrs = dict(attempt_span.attrs) if attempt_span is not None else {}
+            attrs["pid"] = outcome.pid
             engine = trace.add_span(
-                "engine", start_ns=e0, end_ns=e1, parent_id=parent_id, attrs=attrs
+                "engine", start_ns=outcome.start_ns, end_ns=outcome.end_ns,
+                parent_id=parent_id, attrs=attrs,
             )
-            if collector is not None:
-                trace.engine_doc = to_chrome_trace(
-                    collector, process_name=f"engine {spec.app}"
-                )
-                for name, s0, s1 in epoch_sink.epoch_spans():
-                    trace.add_span(name, start_ns=s0, end_ns=s1, parent_id=engine.span_id)
+            if outcome.engine_doc is not None:
+                trace.engine_doc = outcome.engine_doc
+            for name, s0, s1 in outcome.epoch_spans:
+                trace.add_span(name, start_ns=s0, end_ns=s1, parent_id=engine.span_id)
         delay = self.faults.completion_delay()
         if delay:
-            time.sleep(delay)
-        return result
+            await asyncio.sleep(delay)
+        return outcome.result
 
     async def _execute(self, job: _Job, worker: int = 0) -> None:
         """Drive one job through the attempt/retry loop and settle its future."""
-        loop = asyncio.get_running_loop()
         trace = job.trace
         if trace is not None:
             trace.add_span(
@@ -487,12 +541,12 @@ class Broker:
         self.series.gauge("busy_workers", self._busy)
         self.series.gauge("queue_depth", self.queue_depth())
         try:
-            await self._run_attempts(job, worker, loop, trace)
+            await self._run_attempts(job, worker, trace)
         finally:
             self._busy -= 1
             self.series.gauge("busy_workers", self._busy)
 
-    async def _run_attempts(self, job: _Job, worker: int, loop, trace: Trace | None) -> None:
+    async def _run_attempts(self, job: _Job, worker: int, trace: Trace | None) -> None:
         last_error: BaseException | None = None
         for attempt in range(1, self.config.max_attempts + 1):
             cached = self.cache.get(job.key)
@@ -507,16 +561,17 @@ class Broker:
                 attempt_span.attrs.update(attempt=attempt, worker=worker)
             try:
                 result = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        self._executor, self._attempt, job.spec, trace, attempt_span
-                    ),
+                    self._attempt(job.spec, trace, attempt_span),
                     timeout=self.config.job_timeout_s,
                 )
-            except WorkerKilled as exc:
+            except (WorkerKilled, BrokenProcessPool) as exc:
+                # injected crash, or a worker process really died (OOM
+                # kill, segfault, kill -9; _attempt replaced the pool)
                 last_error = exc
                 if trace is not None:
                     trace.end_span(
-                        attempt_span, status="error", error=f"WorkerKilled: {exc}"
+                        attempt_span, status="error",
+                        error=f"{type(exc).__name__}: {exc}",
                     )
                 if attempt < self.config.max_attempts:
                     # retries counts re-executions actually scheduled, so a
@@ -525,8 +580,8 @@ class Broker:
                     await asyncio.sleep(self.config.retry_backoff_s * attempt)
                 continue
             except asyncio.TimeoutError as exc:
-                # NOTE: the executor thread keeps running (Python threads
-                # cannot be killed); the broker just stops waiting for it.
+                # NOTE: the worker process keeps running the abandoned
+                # attempt; the broker just stops waiting for it.
                 last_error = TimeoutError(
                     f"attempt {attempt} exceeded {self.config.job_timeout_s}s"
                 )
@@ -607,6 +662,10 @@ class Broker:
             coalesced=self._coalesced,
             retries=self._retries,
             timeouts=self._timeouts,
+            worker_restarts=self._worker_restarts,
+            worker_procs=[
+                {"pid": pid, "vm_hwm_kib": _vm_hwm_kib(pid)} for pid in self.worker_pids()
+            ],
             queue_depth=self.queue_depth(),
             peak_queue_depth=self._peak_depth,
             tenants=len(self._queues),
@@ -626,3 +685,15 @@ class Broker:
                 for tenant, counts in sorted(self._tenant_counts.items())
             },
         )
+
+
+def _vm_hwm_kib(pid: int) -> int | None:
+    """Peak resident set (``VmHWM``) of ``pid`` in KiB; None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None

@@ -17,8 +17,8 @@ needs that a process-local memo does not:
   recomputed — a poisoned cache can cost latency, never a wrong answer.
 
 The cache is thread-safe (one lock around the index; serialisation
-happens outside it) because broker workers call it from executor
-threads while the asyncio side reads stats.
+happens outside it).  The broker itself touches it only from its event
+loop; engine runs happen in worker processes and never see it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The broker's recovery paths — retry-on-crash, timeout-and-retry,
 poison-detection-and-recompute — are worthless if they are only ever
 *believed* to work.  :class:`FaultInjector` exercises them mechanically:
 a seeded RNG decides, per execution attempt, whether the "worker" dies
-mid-job (:class:`WorkerKilled` raised inside the executor), how long a
+(:class:`WorkerKilled` raised just before the attempt is dispatched to
+a worker process), how long a
 completion is delayed (stressing the per-job timeout), and whether a
 freshly stored cache entry is silently corrupted (stressing digest
 detection in :class:`~repro.service.cache.ResultCache`).
@@ -27,10 +28,9 @@ __all__ = ["WorkerKilled", "FaultInjector", "NO_FAULTS"]
 class WorkerKilled(RuntimeError):
     """A worker died mid-job (the injected stand-in for a process crash).
 
-    The real-process analogue (a pool worker hard-exiting) is covered by
-    :mod:`repro.perf.parallel`'s BrokenProcessPool handling; inside the
-    broker the same contract holds — the job is lost, not the service —
-    and bounded retries re-execute it.
+    The broker handles it exactly as it handles a worker process that
+    really died (``BrokenProcessPool``): the attempt is lost, not the
+    service, and bounded retries re-execute it.
     """
 
 
@@ -38,7 +38,7 @@ class WorkerKilled(RuntimeError):
 class FaultInjector:
     """Seeded fault source the broker consults at each hook point.
 
-    ``kill_prob``: per attempt, raise :class:`WorkerKilled` mid-execution.
+    ``kill_prob``: per attempt, raise :class:`WorkerKilled` before dispatch.
     ``delay_prob`` / ``delay_s``: per attempt, stall the completion by
     ``delay_s`` wall seconds *after* the simulation finished (models a
     straggling worker; trips the per-job timeout when ``delay_s`` exceeds

@@ -92,9 +92,13 @@ class ServiceServer:
         turns that into a one-line diagnostic rather than a traceback.
         """
         await self.broker.start()
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle, host=self.host, port=self.port
+            )
+        except OSError:
+            await self.broker.drain()  # no listener: stop the worker processes
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 

@@ -26,6 +26,7 @@ _COUNTERS = (
     "coalesced",
     "retries",
     "timeouts",
+    "worker_restarts",
 )
 #: instantaneous values exported as gauges
 _GAUGES = ("queue_depth", "peak_queue_depth", "tenants", "workers")

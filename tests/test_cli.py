@@ -157,6 +157,46 @@ class TestServiceCli:
         assert "Traceback" not in err
 
 
+def _process_gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return any(line.split()[:2] == ["State:", "Z"] for line in fh)
+    except FileNotFoundError:
+        return True
+
+
+def test_serve_workers_die_with_a_killed_broker():
+    """SIGKILL gives the broker no chance to drain; its workers must not outlive it."""
+    import os
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    from repro.service.client import ServiceClient
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+        workers = [w["pid"] for w in ServiceClient("127.0.0.1", port).stats()["worker_procs"]]
+        assert len(workers) == 2
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while not all(_process_gone(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert all(_process_gone(pid) for pid in workers), "workers outlived the broker"
+
+
 @pytest.mark.slow
 def test_service_bench_cli_small(tmp_path, capsys):
     out = tmp_path / "bench.json"

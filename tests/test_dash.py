@@ -243,6 +243,25 @@ class TestBrokerTraces:
         assert doc is None
         assert "trace_id" in result.to_dict()  # field stays schema-stable
 
+    def test_concurrent_misses_run_in_parallel_worker_processes(self):
+        async def main():
+            async with Broker(BrokerConfig(workers=2)) as broker:
+                specs = [
+                    JobSpec(app="pagerank", dataset="soc-LiveJournal1", size="small", seed=s)
+                    for s in (1, 2)
+                ]
+                results = await asyncio.gather(
+                    *(broker.submit(spec, tenant=f"t{i}") for i, spec in enumerate(specs))
+                )
+                return [broker.trace_doc(r.trace_id) for r in results], broker.worker_pids()
+
+        docs, worker_pids = _run(main())
+        engines = [next(s for s in doc["spans"] if s["name"] == "engine") for doc in docs]
+        pids = {span["attrs"]["pid"] for span in engines}
+        assert len(pids) == 2 and pids <= set(worker_pids)
+        first, second = sorted(engines, key=lambda s: s["start_ns"])
+        assert second["start_ns"] < first["end_ns"], "engine runs did not overlap"
+
     def test_span_accounting_reconciles_to_wall_time(self):
         _, doc = _submit_one(BrokerConfig(workers=1), JobSpec(app="bfs", **TINY))
         root = next(s for s in doc["spans"] if s["name"] == "job")

@@ -39,7 +39,7 @@ from repro.graph.csr import Csr, from_edges
 from repro.graph.delta import DeltaCsr, EditBatch, EditScript, parse_edits
 from repro.graph.generators import rmat
 from repro.obs import Collector
-from repro.perf.buildcache import cached_graph, edit_key
+from repro.perf.buildcache import EDITED_SNAPSHOT_LIMIT, cache_info, cached_graph, edit_key
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +217,20 @@ class TestEditKeyRegression:
         second = [snap for _, snap in script.replay()]
         for a, b in zip(first, second):
             assert a is b, "same history must hit the cache, not rebuild"
+
+    def test_fresh_scripts_keep_the_build_cache_bounded(self, graph):
+        """A long-running service replays a fresh script per dynamic job;
+        the edited snapshots they leave must not pile up without end."""
+        bases = cache_info().size
+        for seed in range(200):
+            for _ in EditScript(graph, seed=1000 + seed, epochs=2, batch_size=4).replay():
+                pass
+        assert cache_info().size <= bases + EDITED_SNAPSHOT_LIMIT
+        # the latest script's snapshots survived and are still shared
+        script = EditScript(graph, seed=1199, epochs=2, batch_size=4)
+        first = [snap for _, snap in script.replay()]
+        again = [snap for _, snap in script.replay()]
+        assert all(a is b for a, b in zip(first, again))
 
     def test_epoch_zero_materializes_the_base_itself(self, graph):
         assert DeltaCsr(graph).materialize() is graph

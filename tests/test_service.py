@@ -365,6 +365,45 @@ class TestBroker:
         assert stats.hit_latency_ms["count"] == 1
         assert stats.hit_latency_ms["p50"] <= stats.miss_latency_ms["p50"]
 
+    def test_worker_killed_mid_job_is_retried_on_a_new_pool(self):
+        import os
+        import signal
+
+        spec = JobSpec(app="pagerank", dataset="soc-LiveJournal1", size="small", seed=5)
+        ref = result_digest(execute_spec(spec))
+
+        async def main():
+            config = BrokerConfig(workers=1, retry_backoff_s=0.001)
+            async with Broker(config) as broker:
+                [victim] = broker.worker_pids()
+                job = asyncio.ensure_future(broker.submit(spec, tenant="t"))
+                await asyncio.sleep(0.05)  # dispatched, well inside a ~200 ms run
+                os.kill(victim, signal.SIGKILL)
+                result = await asyncio.wait_for(job, 60)
+                return result, broker.stats(), victim, broker.worker_pids()
+
+        result, stats, victim, pids_after = _run(main())
+        assert result.digest == ref
+        assert result.attempts == 2
+        assert stats.worker_restarts == 1 and stats.retries == 1
+        assert victim not in pids_after and len(pids_after) == 1
+        # every submit ends in exactly one of these (a job that finds its
+        # result cached when an attempt starts counts as a cache hit)
+        assert stats.submitted == (
+            stats.completed + stats.failed + stats.rejected + stats.coalesced
+            + stats.cache.hits
+        )
+        doc = stats.to_dict()
+        assert doc["worker_restarts"] == 1
+        assert [w["pid"] for w in doc["worker_procs"]] == pids_after
+        assert doc["worker_procs"][0]["vm_hwm_kib"] > 0
+
+    def test_worker_restarts_exported_to_prometheus(self):
+        from repro.service.telemetry import stats_to_prometheus
+
+        doc = _tenant_stats_doc()
+        assert "repro_service_worker_restarts_total 0" in stats_to_prometheus(doc)
+
 
 @pytest.mark.slow
 def test_load_storm_1000_clients_digest_match():
