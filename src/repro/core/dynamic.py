@@ -76,6 +76,7 @@ def iterate_epochs(
     max_tasks: int = 20_000_000,
     sink: EventSink | None = None,
     perturb: Callable[[int, int], float] | None = None,
+    epoch0: RunResult | None = None,
 ) -> Iterator[EpochOutcome]:
     """Drive ``kernel`` through epoch 0 plus one epoch per edit batch.
 
@@ -85,6 +86,12 @@ def iterate_epochs(
     the next epoch runs.  ``kernel`` must have been built against
     ``script.graph`` and must implement the ``rebase`` hook (see
     :class:`~repro.core.kernel.TaskKernel`).
+
+    ``epoch0`` is an epoch 0 that already ran: ``kernel`` holds its
+    post-epoch-0 state and ``epoch0`` is that run's result, so epoch 0
+    is yielded without running again (the base-epoch reuse of
+    :func:`repro.apps.dynamic.replay_app`).  A sink must observe every
+    epoch's events, so ``epoch0`` cannot be combined with one.
     """
     rebase = getattr(kernel, "rebase", None)
     if rebase is None:
@@ -92,10 +99,15 @@ def iterate_epochs(
             f"{type(kernel).__name__} has no rebase() hook; only incremental "
             "kernels (repro.apps.dynamic) can run multi-epoch"
         )
-    res = run_policy(
-        kernel, config, policy=policy, spec=spec, max_tasks=max_tasks,
-        sink=sink, perturb=perturb,
-    )
+    if epoch0 is None:
+        res = run_policy(
+            kernel, config, policy=policy, spec=spec, max_tasks=max_tasks,
+            sink=sink, perturb=perturb,
+        )
+    elif sink is not None:
+        raise ValueError("a sink must observe epoch 0; it cannot be reused")
+    else:
+        res = epoch0
     yield EpochOutcome(epoch=0, graph=script.graph, applied=None, result=res)
     for applied, snapshot in script.replay():
         if sink is not None:

@@ -228,11 +228,10 @@ class Trace:
 class Tracer:
     """Mints traces and retains the last ``capacity`` finished ones."""
 
-    def __init__(self, *, capacity: int = 256, capture_events: bool = False) -> None:
+    def __init__(self, *, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.capture_events = capture_events
         self.t0_ns = now_ns()
         self._done: OrderedDict[str, Trace] = OrderedDict()
         self._lock = threading.Lock()

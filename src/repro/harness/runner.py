@@ -299,8 +299,12 @@ class Lab:
 
         The dynamic counterpart of :meth:`run_config`: resolves the graph
         through the Lab's dataset cache and size preset, then hands off to
-        :func:`repro.apps.dynamic.replay_app`.  Never memoised — the
-        kernel mutates across epochs, so every replay is fresh.
+        :func:`repro.apps.dynamic.replay_app`.  The replay is not
+        memoised — the kernel mutates across epochs, so every epoch
+        after 0 runs fresh.  Epoch 0 does not depend on the edit script,
+        so ``replay_app`` starts a replay from a deep copy of a stored
+        post-epoch-0 kernel when one matches (never with a ``sink``,
+        ``validate`` or ``perturb``).
         """
         from repro.apps.dynamic import replay_app
 

@@ -243,12 +243,7 @@ class Broker:
         self.series = ServiceSeries()
         #: span tracer, or None when the config disables tracing
         self.tracer: Tracer | None = (
-            Tracer(
-                capacity=self.config.trace_capacity,
-                capture_events=self.config.trace_events,
-            )
-            if self.config.tracing
-            else None
+            Tracer(capacity=self.config.trace_capacity) if self.config.tracing else None
         )
 
     # ------------------------------------------------------------------

@@ -160,7 +160,10 @@ class ServiceServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return _error(400, f"bad Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             return _error(413, f"body too large ({length} bytes)")
         body = await reader.readexactly(length) if length else b""

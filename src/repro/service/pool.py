@@ -24,7 +24,11 @@ replay mutates kernel state across epochs; running job B's replay on a
 Lab warmed by job A's could serve A's memoised results or A's residual
 state.  Dynamic jobs get a fresh single-use Lab (graph builds still hit
 the process-wide :mod:`repro.perf.buildcache`, so the isolation costs a
-dictionary miss, not a rebuild).
+dictionary miss, not a rebuild).  What they do share is the worker's
+base-epoch store in :func:`repro.apps.dynamic.replay_app`: epoch 0 never
+depends on the edit script, and each replay starts from a deep copy of
+the stored post-epoch-0 kernel, keyed by everything epoch 0 does depend
+on, so no job sees another's edits or residual state.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import ctypes
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.apps.common import AppResult
 from repro.dash.trace import EpochWallSink
@@ -41,6 +45,7 @@ from repro.obs.collector import Collector
 from repro.obs.events import MultiSink
 from repro.obs.export import to_chrome_trace
 from repro.service.jobs import JobSpec, execute_spec
+from repro.sim.trace import ThroughputTrace
 
 __all__ = ["AttemptOutcome", "LabPool", "init_worker", "run_attempt"]
 
@@ -80,7 +85,8 @@ class LabPool:
         sink always observes a fresh, non-memoised execution.
         """
         if spec.edits is not None:
-            # dynamic: fresh single-use Lab, never installed as warm state
+            # dynamic: fresh single-use Lab, never installed as warm state;
+            # replay_app reuses only a copy of the edit-free epoch 0
             return execute_spec(spec, lab=None, sink=sink)
         return execute_spec(spec, lab=self._warm_lab(spec), sink=sink)
 
@@ -135,6 +141,10 @@ def init_worker(broker_pid: int) -> None:
 def run_attempt(spec: JobSpec, trace_id: str | None = None) -> AttemptOutcome:
     """Execute one attempt of ``spec`` in a worker process.
 
+    The result comes back with an empty per-task ``ThroughputTrace``:
+    no service code reads it, and it is most of a result's bytes, which
+    the broker would otherwise ship, pickle, hash and hold in its cache.
+
     With ``trace_id`` the run also gets a per-job :class:`Collector`
     (tagged with the trace id) plus an :class:`EpochWallSink`; the
     collector comes back as a Chrome doc and the epoch marks as spans,
@@ -154,4 +164,6 @@ def run_attempt(spec: JobSpec, trace_id: str | None = None) -> AttemptOutcome:
     if collector is not None:
         engine_doc = to_chrome_trace(collector, process_name=f"engine {spec.app}")
         epoch_spans = tuple(epoch_sink.epoch_spans())
+    # a copy: a static result is also the warm Lab's memo entry
+    result = replace(result, trace=ThroughputTrace())
     return AttemptOutcome(result, start_ns, end_ns, os.getpid(), engine_doc, epoch_spans)

@@ -23,6 +23,9 @@ Four layers, mirroring the dynamic stack:
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +125,90 @@ def test_applied_batch_rows_are_all_effective(case):
         for u, v in applied.inserted.tolist():
             assert (u, v) not in after_del, "inserted an edge already present"
         assert applied.inserted.shape == np.unique(applied.inserted, axis=0).shape
+
+
+class _SetAlgebraOverlay:
+    """The overlay's earlier implementation, kept here only as an oracle.
+
+    Whole-edge-set ``np.unique``/``np.setdiff1d``/``np.union1d`` per batch:
+    obviously right, and O(E) hash work per call on numpy >= 2.3.
+    """
+
+    def __init__(self, base: Csr) -> None:
+        n = self.n = base.num_vertices
+        edges = base.edge_array()
+        self.keys = np.unique(edges[:, 0] * n + edges[:, 1])
+        h = hashlib.sha256(f"{base.name}:{n}:".encode())
+        h.update(np.ascontiguousarray(self.keys).tobytes())
+        self.history = h.hexdigest()[:16]
+
+    def apply(self, batch: EditBatch) -> tuple[np.ndarray, np.ndarray]:
+        n, empty = self.n, np.empty(0, dtype=np.int64)
+        d, i = batch.delete, batch.insert
+        del_keys = np.unique(d[:, 0] * n + d[:, 1]) if d.size else empty
+        ins_keys = np.unique(i[:, 0] * n + i[:, 1]) if i.size else empty
+        eff_del = del_keys[np.isin(del_keys, self.keys, assume_unique=True)]
+        keys = np.setdiff1d(self.keys, eff_del, assume_unique=True)
+        eff_ins = ins_keys[~np.isin(ins_keys, keys, assume_unique=True)]
+        self.keys = np.union1d(keys, eff_ins)
+        self.history = hashlib.sha256(
+            (self.history + ":" + batch.digest()).encode()
+        ).hexdigest()[:16]
+        return np.stack([eff_ins // n, eff_ins % n], 1), np.stack([eff_del // n, eff_del % n], 1)
+
+
+@st.composite
+def unsorted_base_and_batches(draw, max_vertices=16, max_batches=4):
+    """A base CSR with unsorted, duplicated rows plus hostile edit batches.
+
+    Edit rows draw from the base's own edges as often as from random
+    pairs, so re-inserts and real deletes are common; phantom deletes,
+    self-loops and duplicate rows come from the random half, and each
+    batch may delete and re-insert the same edges.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    rows = draw(st.lists(st.lists(vertex, max_size=6), min_size=n, max_size=n))
+    base_edges = [(u, v) for u, row in enumerate(rows) for v in row]
+    pair = st.tuples(vertex, vertex)
+    if base_edges:
+        pair = st.one_of(pair, st.sampled_from(base_edges))
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_batches))):
+        ins = draw(st.lists(pair, max_size=10))
+        dele = draw(st.lists(pair, max_size=10))
+        churn = draw(st.lists(pair, max_size=4))  # deleted and re-inserted
+        batches.append(EditBatch(insert=ins + churn, delete=dele + churn))
+    return from_edges(n, base_edges, name="hyp-unsorted", dedup=False, sort_neighbors=False), batches
+
+
+@given(unsorted_base_and_batches())
+@settings(max_examples=150, deadline=None)
+def test_overlay_matches_the_set_algebra_oracle(case):
+    """Search-and-splice apply == the np.unique/setdiff1d/union1d algebra."""
+    base, batches = case
+    overlay, oracle = DeltaCsr(base), _SetAlgebraOverlay(base)
+    assert overlay._keys.dtype == oracle.keys.dtype
+    assert np.array_equal(overlay._keys, oracle.keys)
+    assert overlay._history == oracle.history
+    for batch in batches:
+        applied = overlay.apply(batch)
+        inserted, deleted = oracle.apply(batch)
+        assert np.array_equal(overlay._keys, oracle.keys)
+        assert applied.inserted.dtype == applied.deleted.dtype == np.int64
+        assert np.array_equal(applied.inserted, inserted.reshape(-1, 2))
+        assert np.array_equal(applied.deleted, deleted.reshape(-1, 2))
+        assert overlay._history == oracle.history
+
+
+def test_overlay_accepts_empty_batches_and_empty_graphs():
+    empty = from_edges(3, [], name="empty")
+    overlay = DeltaCsr(empty)
+    assert overlay.apply(EditBatch()).is_noop
+    applied = overlay.apply(EditBatch(insert=[(2, 0), (0, 2), (2, 0)], delete=[(1, 1)]))
+    assert applied.inserted.tolist() == [[0, 2], [2, 0]]
+    assert applied.deleted.shape == (0, 2)
+    assert overlay.edge_array().tolist() == [[0, 2], [2, 0]]
 
 
 def test_noop_batch_is_reported_as_noop(graph):
@@ -378,3 +465,131 @@ def test_validated_replay_matches_oracle_by_hand(graph):
     )
     for e in dres.epochs:
         validate("cc-inc", e.graph, e.result).assert_valid()
+
+
+# ---------------------------------------------------------------------------
+# 5. Base-epoch reuse: epoch 0 runs once per (app, base, config, ...)
+# ---------------------------------------------------------------------------
+
+class TestBaseEpochReuse:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Empties the base-epoch store; counts engine runs of replays."""
+        import repro.core.dynamic as core_dynamic
+        from repro.apps import dynamic
+
+        monkeypatch.setattr(dynamic, "_BASE_EPOCHS", OrderedDict())
+        calls = []
+        real = core_dynamic.run_policy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core_dynamic, "run_policy", counting)
+        return calls
+
+    @staticmethod
+    def _rows(dres):
+        from repro.apps.dynamic import replay_totals
+        from repro.service.jobs import result_digest
+
+        rows = [
+            (e.epoch, result_digest(e.result), e.result.elapsed_ns,
+             e.result.work_units, e.result.extra)
+            for e in dres.epochs
+        ]
+        return rows, replay_totals(dres.epochs)
+
+    @pytest.mark.parametrize("app,params", [
+        ("bfs-inc", {"source": 0}), ("cc-inc", {}), ("pagerank-inc", {}),
+    ])
+    def test_warm_replays_of_other_scripts_equal_cold(self, graph, runs, app, params):
+        from repro.apps import dynamic
+
+        config = CONFIGS["persist-CTA"]
+        replay_app(app, graph, config, "2x16@1", **params)  # stores epoch 0
+        assert len(runs) == 3
+        for edits in ("2x16@2", "3x8@3", "2x16@1"):
+            runs.clear()
+            warm = replay_app(app, graph, config, edits, **params)
+            assert len(runs) == len(warm.epochs) - 1, "epoch 0 must come from the store"
+            dynamic._BASE_EPOCHS.clear()
+            cold = replay_app(app, graph, config, edits, **params)
+            assert self._rows(warm) == self._rows(cold)
+            assert warm.total_elapsed_ns == cold.total_elapsed_ns
+            assert warm.total_work_units == cold.total_work_units
+
+    def test_stored_kernel_shares_the_graph_and_is_never_handed_out(self, graph, runs):
+        from repro.apps import dynamic
+
+        replay_app("cc-inc", graph, CONFIGS["persist-CTA"], "2x16@1")
+        [(stored, _)] = dynamic._BASE_EPOCHS.values()
+        labels = stored.labels.copy()
+        assert stored.graph is graph
+        replay_app("cc-inc", graph, CONFIGS["persist-CTA"], "2x16@2")
+        assert np.array_equal(stored.labels, labels), "a replay mutated the stored kernel"
+
+    @pytest.mark.parametrize("bypass", ["sink", "validate", "perturb"])
+    def test_sink_validate_and_perturb_always_run_epoch_zero(self, graph, runs, bypass):
+        from repro.apps import dynamic
+        from repro.check.fuzz import perturbation
+
+        kwargs = {
+            "sink": {"sink": Collector()},
+            "validate": {"validate": True},
+            "perturb": {"perturb": perturbation(1)},
+        }[bypass]
+        config = CONFIGS["persist-CTA"]
+        replay_app("bfs-inc", graph, config, "2x16@1", source=0)  # stores epoch 0
+        runs.clear()
+        dres = replay_app("bfs-inc", graph, config, "2x16@2", source=0, **kwargs)
+        assert len(runs) == len(dres.epochs) == 3
+        dynamic._BASE_EPOCHS.clear()
+        replay_app("bfs-inc", graph, config, "2x16@2", source=0, **kwargs)
+        assert not dynamic._BASE_EPOCHS, "a bypassing replay must not store"
+
+    def test_sink_digest_identical_after_a_stored_epoch(self, graph, runs):
+        config = CONFIGS["persist-CTA"]
+        cold = Collector()
+        replay_app("pagerank-inc", graph, config, "2x16@4", sink=cold)
+        replay_app("pagerank-inc", graph, config, "2x16@5")  # stores epoch 0
+        warm = Collector()
+        replay_app("pagerank-inc", graph, config, "2x16@4", sink=warm)
+        assert cold.digest() == warm.digest()
+
+    def test_store_stays_within_its_limit(self, graph, runs):
+        from repro.apps import dynamic
+        from repro.apps.dynamic import BASE_EPOCH_LIMIT
+
+        config = CONFIGS["persist-CTA"]
+        sources = range(BASE_EPOCH_LIMIT + 3)
+        for source in sources:
+            replay_app("bfs-inc", graph, config, "1x4@1", source=source)
+            assert len(dynamic._BASE_EPOCHS) <= BASE_EPOCH_LIMIT
+        assert len(dynamic._BASE_EPOCHS) == BASE_EPOCH_LIMIT
+        kept = [dict(key[4])["source"] for key in dynamic._BASE_EPOCHS]
+        assert kept == list(sources)[-BASE_EPOCH_LIMIT:], "least recently used goes first"
+
+    def test_keys_separate_configs_params_and_graphs(self, graph, runs):
+        from repro.apps import dynamic
+
+        other = rmat(7, edge_factor=6, seed=7, name="rmat8").symmetrize()
+        replay_app("bfs-inc", graph, CONFIGS["persist-CTA"], "1x4@1", source=0)
+        replay_app("bfs-inc", graph, CONFIGS["discrete-CTA"], "1x4@1", source=0)
+        replay_app("bfs-inc", graph, CONFIGS["persist-CTA"], "1x4@1", source=1)
+        replay_app("bfs-inc", other, CONFIGS["persist-CTA"], "1x4@1", source=0)
+        assert len(dynamic._BASE_EPOCHS) == 4 and len(runs) == 8
+
+    def test_iterate_epochs_refuses_a_sink_with_a_finished_epoch_zero(self, graph):
+        from repro.apps.dynamic import IncrementalBfsKernel
+        from repro.core.dynamic import iterate_epochs
+        from repro.core.policy import run_policy
+
+        kernel = IncrementalBfsKernel(graph, 0)
+        epoch0 = run_policy(kernel, CONFIGS["persist-CTA"])
+        script = parse_edits("1x4@1", graph)
+        with pytest.raises(ValueError, match="sink must observe epoch 0"):
+            next(iterate_epochs(
+                kernel, CONFIGS["persist-CTA"], script, sink=Collector(), epoch0=epoch0
+            ))

@@ -404,6 +404,41 @@ class TestBroker:
         doc = _tenant_stats_doc()
         assert "repro_service_worker_restarts_total 0" in stats_to_prometheus(doc)
 
+    @pytest.mark.parametrize("spec", [
+        JobSpec(app="pagerank", **TINY),
+        JobSpec(app="bfs-inc", **TINY, edits="2x8@1"),
+    ], ids=["static", "dynamic"])
+    def test_run_attempt_returns_an_empty_trace(self, monkeypatch, spec):
+        from repro.service import pool
+        from repro.sim.trace import ThroughputTrace
+
+        monkeypatch.setattr(pool, "_WORKER_POOL", pool.LabPool())
+        outcome = pool.run_attempt(spec)
+        assert outcome.result.trace == ThroughputTrace()
+        assert result_digest(outcome.result) == result_digest(execute_spec(spec))
+        if spec.edits is None:
+            # a static result is also the warm Lab's memo entry: that keeps its trace
+            assert pool._WORKER_POOL.run(spec).trace.times
+
+    def test_cached_persist_warp_pagerank_payload_stays_small(self):
+        import pickle
+
+        spec = JobSpec(app="pagerank", **TINY, config="persist-warp")
+        full = execute_spec(spec)
+
+        async def main():
+            async with Broker(BrokerConfig(workers=1)) as broker:
+                cold = await broker.submit(spec)
+                warm = await broker.submit(spec)
+                return cold, warm, broker.cache.stats()
+
+        cold, warm, cache = _run(main())
+        assert cold.digest == warm.digest == result_digest(full)
+        assert warm.cached and cache.entries == 1
+        # the per-task trace is most of a full result; none of it is cached
+        assert len(pickle.dumps(full.trace)) > 10 * full.output.nbytes
+        assert cache.bytes < full.output.nbytes + 8 * 1024
+
 
 @pytest.mark.slow
 def test_load_storm_1000_clients_digest_match():
@@ -511,6 +546,28 @@ class TestHttp:
         raw = _run(main())
         assert b"400" in raw.split(b"\r\n", 1)[0]
         assert b"not valid JSON" in raw
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1e3", "٣"])
+    def test_bad_content_length_is_400(self, length):
+        async def main():
+            async with ServiceServer(Broker(BrokerConfig(workers=1)), port=0) as srv:
+                reader, writer = await asyncio.open_connection("127.0.0.1", srv.port)
+                writer.write(
+                    f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+                    .encode()
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                health = await _http(srv.port, "GET", "/healthz")
+                return raw, health, srv.broker.stats().submitted
+
+        raw, (health_status, _), submitted = _run(main())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert "bad Content-Length" in json.loads(body)["error"]
+        assert health_status == 200, "the server keeps serving after a bad request"
+        assert submitted == 0, "a bad frame never reaches the broker"
 
     def test_queue_full_maps_to_429(self):
         async def main():
